@@ -21,12 +21,11 @@
 // kind against the champion, and a challenger that dominates on windowed
 // relative error is promoted through the ordinary generation hot-swap.
 //
-// With -shards N the daemon runs the sharded multi-model tier instead of a
-// single model: traffic is partitioned across N per-shard sliding
-// predictors (-partitioner picks the policy, hash or category), each with
-// its own coalescer, generation, and background retrain loop, and GET
-// /v1/shards exposes the per-shard state. -shards 1 is byte-identical to
-// the unsharded daemon on the wire.
+// Every daemon serves through the shard tier. With -shards N (N > 1)
+// traffic is partitioned across N per-shard sliding predictors
+// (-partitioner picks the policy, hash or category), each with its own
+// coalescer, generation, and background retrain loop; -shards 0 and 1 both
+// run one shard. GET /v1/shards exposes the per-shard state.
 //
 // Endpoints: /v1/predict, /v1/observe, /v1/model, /v1/shards, /healthz,
 // /readyz, plus the observability surface (/metrics, /timings,
@@ -80,8 +79,8 @@ func main() {
 	retrainEvery := flag.Int("retrain-every", def.Sliding.RetrainEvery, "observations between background retrains")
 	drainTimeout := flag.Duration("drain-timeout", def.Serve.DrainTimeout.Std(), "graceful shutdown deadline")
 	timings := flag.Bool("timings", false, "print the per-stage timing table on exit")
-	shards := flag.Int("shards", def.Shards.Count, "run the sharded multi-model tier with N shards (0 = single model)")
-	partitioner := flag.String("partitioner", def.Shards.Partitioner, "shard routing policy: hash or category (with -shards)")
+	shards := flag.Int("shards", def.Shards.Count, "shard count of the multi-model tier (0 and 1 both run one shard)")
+	partitioner := flag.String("partitioner", def.Shards.Partitioner, "shard routing policy: hash or category (with -shards above 1)")
 	stateDir := flag.String("state-dir", def.State.Dir, "durable state directory (observation WAL + model snapshots, one subdirectory per shard); a restart recovers the serving state from it")
 	fsyncPolicy := flag.String("fsync", def.State.Fsync, "WAL fsync policy with -state-dir: always, batch, or none")
 	fsyncEvery := flag.Int("fsync-every", def.State.FsyncEvery, "appends between fsyncs with -fsync batch")
@@ -195,30 +194,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "plan cache: disabled")
 	}
 
-	// Champion/challenger operation rides on the shard tier (the zoo hangs
-	// off each shard's observe loop), so a zoo-enabled unsharded daemon
-	// quietly runs the single-shard router — byte-identical on the wire.
-	nShards := opts.Shards.Count
-	zooOn := opts.Champion.Enabled()
-	if zooOn && nShards == 0 {
-		nShards = 1
-	}
-
 	// Partition layout first (it decides the per-partition window knobs
 	// durable state must be recovered under). Per-shard knobs divide the
-	// single-model budget so the fleet-wide totals match: with one shard
-	// this reduces exactly to the unsharded values, keeping the
-	// single-shard daemon byte-identical.
-	nPart := 1
-	partCap, partEvery := opts.Sliding.Capacity, opts.Sliding.RetrainEvery
-	var part shard.Partitioner
-	if nShards > 0 {
-		nPart = nShards
-		partCap = max(5, opts.Sliding.Capacity/nShards)
-		partEvery = max(1, opts.Sliding.RetrainEvery/nShards)
-		if partEvery > partCap {
-			partEvery = partCap
-		}
+	// fleet-wide budget; one shard keeps it whole. A single shard routes
+	// everything to itself, so it needs no fingerprinting partitioner.
+	nShards := max(1, opts.Shards.Count)
+	zooOn := opts.Champion.Enabled()
+	partCap := max(5, opts.Sliding.Capacity/nShards)
+	partEvery := min(partCap, max(1, opts.Sliding.RetrainEvery/nShards))
+	var part shard.Partitioner = shard.Passthrough{}
+	if nShards > 1 {
 		part, err = shard.NewPartitioner(opts.Shards.Partitioner, nShards, opt.Features)
 		if err != nil {
 			cli.Fatalf("%v", err)
@@ -237,13 +222,9 @@ func main() {
 		if err != nil {
 			cli.Fatalf("%v", err)
 		}
-		partName := "none"
-		if part != nil {
-			partName = part.Name()
-		}
 		if err := wal.CheckManifest(opts.State.Dir, wal.Manifest{
-			Shards:       nPart,
-			Partitioner:  partName,
+			Shards:       nShards,
+			Partitioner:  part.Name(),
 			Capacity:     opts.Sliding.Capacity,
 			RetrainEvery: opts.Sliding.RetrainEvery,
 		}); err != nil {
@@ -251,7 +232,7 @@ func main() {
 		}
 		plan := planner.Plan
 		allWarm = true
-		for i := 0; i < nPart; i++ {
+		for i := 0; i < nShards; i++ {
 			st, err := wal.OpenStore(wal.StoreOptions{
 				Dir:           filepath.Join(opts.State.Dir, fmt.Sprintf("shard-%d", i)),
 				Policy:        policy,
@@ -285,7 +266,7 @@ func main() {
 	var predictor *core.Predictor
 	var pool *dataset.Dataset
 	if allWarm {
-		fmt.Fprintf(os.Stderr, "recovered %d warm partition(s) from %s; skipping boot training\n", nPart, opts.State.Dir)
+		fmt.Fprintf(os.Stderr, "recovered %d warm partition(s) from %s; skipping boot training\n", nShards, opts.State.Dir)
 	} else if opts.Train.Load != "" {
 		f, err := os.Open(opts.Train.Load)
 		if err != nil {
@@ -346,98 +327,73 @@ func main() {
 		}
 	}
 
-	svcCfg := serve.Config{
-		Schema:   schema,
-		Machine:  machine,
-		DataSeed: opts.Train.DataSeed,
-		Plans:    planner,
-		Window:   opts.Serve.Window.Std(),
-		MaxBatch: opts.Serve.MaxBatch,
-		QueueCap: opts.Serve.QueueCap,
-		Timeout:  opts.Serve.Timeout.Std(),
-	}
-	if nShards > 0 {
-		cfgs := make([]shard.ShardConfig, nShards)
-		for i := range cfgs {
-			sl := (*core.SlidingPredictor)(nil)
-			if slidings != nil {
-				sl = slidings[i]
-			} else {
-				var err error
-				sl, err = core.NewSliding(partCap, partEvery, opt)
-				if err != nil {
-					cli.Fatalf("sliding window: %v", err)
-				}
-			}
-			sc := shard.ShardConfig{Sliding: sl}
-			if stores != nil {
-				sc.Store = stores[i]
-				sc.BootGen = bootGens[i]
-			}
-			// A shard that did not recover a model boots from the shared
-			// trained model, then diverges as its own observations arrive;
-			// a recovered shard keeps serving its own model at the
-			// generation it held before the restart.
-			if sc.BootGen == 0 {
-				sc.Boot = predictor
-			}
-			if zooOn {
-				zc := &shard.ZooConfig{
-					Champion:    opts.Champion.Kind,
-					Challengers: opts.Champion.Challengers,
-					Seeds:       seeds,
-					Policy:      opts.Champion.Policy(),
-					Opt:         opt,
-				}
-				// A durably recorded promotion outlives the process: the
-				// shard restarts under the champion it had promoted to.
-				if stores != nil {
-					if k := stores[i].ChampionKind(); k != "" {
-						zc.Champion = k
-					}
-				}
-				sc.Zoo = zc
-			}
-			cfgs[i] = sc
-		}
-		router, err := shard.NewRouter(cfgs, part, shard.Config{
-			Window:   opts.Serve.Window.Std(),
-			MaxBatch: opts.Serve.MaxBatch,
-			QueueCap: opts.Serve.QueueCap,
-		}, true)
-		if err != nil {
-			cli.Fatalf("shard router: %v", err)
-		}
-		svcCfg.Router = router
-		if nShards > 1 {
-			fmt.Fprintf(os.Stderr, "sharded tier: %d shards, %s partitioner, per-shard window %d\n",
-				nShards, part.Name(), partCap)
-		}
-		if zooOn {
-			fmt.Fprintf(os.Stderr, "model zoo: champion %s, challengers %v (margin %.0f%%, hysteresis %d)\n",
-				opts.Champion.Kind, opts.Champion.Challengers, opts.Champion.Margin*100, opts.Champion.Hysteresis)
-		}
-	} else {
-		sliding := (*core.SlidingPredictor)(nil)
+	cfgs := make([]shard.ShardConfig, nShards)
+	for i := range cfgs {
+		sl := (*core.SlidingPredictor)(nil)
 		if slidings != nil {
-			sliding = slidings[0]
+			sl = slidings[i]
 		} else {
 			var err error
-			sliding, err = core.NewSliding(opts.Sliding.Capacity, opts.Sliding.RetrainEvery, opt)
+			sl, err = core.NewSliding(partCap, partEvery, opt)
 			if err != nil {
 				cli.Fatalf("sliding window: %v", err)
 			}
 		}
-		svcCfg.Sliding = sliding
+		sc := shard.ShardConfig{Sliding: sl}
 		if stores != nil {
-			svcCfg.Store = stores[0]
-			svcCfg.BootGen = bootGens[0]
+			sc.Store = stores[i]
+			sc.BootGen = bootGens[i]
 		}
-		if svcCfg.BootGen == 0 {
-			svcCfg.Predictor = predictor
+		// A shard that did not recover a model boots from the shared
+		// trained model, then diverges as its own observations arrive;
+		// a recovered shard keeps serving its own model at the
+		// generation it held before the restart.
+		if sc.BootGen == 0 {
+			sc.Boot = predictor
 		}
+		if zooOn {
+			zc := &shard.ZooConfig{
+				Champion:    opts.Champion.Kind,
+				Challengers: opts.Champion.Challengers,
+				Seeds:       seeds,
+				Policy:      opts.Champion.Policy(),
+				Opt:         opt,
+			}
+			// A durably recorded promotion outlives the process: the
+			// shard restarts under the champion it had promoted to.
+			if stores != nil {
+				if k := stores[i].ChampionKind(); k != "" {
+					zc.Champion = k
+				}
+			}
+			sc.Zoo = zc
+		}
+		cfgs[i] = sc
 	}
-	svc, err := serve.New(svcCfg)
+	router, err := shard.NewRouter(cfgs, part, shard.Config{
+		Window:   opts.Serve.Window.Std(),
+		MaxBatch: opts.Serve.MaxBatch,
+		QueueCap: opts.Serve.QueueCap,
+	}, true)
+	if err != nil {
+		cli.Fatalf("shard router: %v", err)
+	}
+	if nShards > 1 {
+		fmt.Fprintf(os.Stderr, "sharded tier: %d shards, %s partitioner, per-shard window %d\n",
+			nShards, part.Name(), partCap)
+	}
+	if zooOn {
+		fmt.Fprintf(os.Stderr, "model zoo: champion %s, challengers %v (margin %.0f%%, hysteresis %d)\n",
+			opts.Champion.Kind, opts.Champion.Challengers, opts.Champion.Margin*100, opts.Champion.Hysteresis)
+	}
+	svc, err := serve.New(serve.Config{
+		Router:   router,
+		Schema:   schema,
+		Machine:  machine,
+		DataSeed: opts.Train.DataSeed,
+		Plans:    planner,
+		Timeout:  opts.Serve.Timeout.Std(),
+	})
 	if err != nil {
 		cli.Fatalf("starting service: %v", err)
 	}

@@ -109,8 +109,7 @@ func main() {
 		fmt.Printf("observed %d query (window now %d)\n", ores.Accepted, ores.WindowSize)
 	}
 
-	// Introspection: the aggregate model view, then the per-shard breakdown
-	// (which only a sharded daemon serves).
+	// Introspection: the aggregate model view, then the per-shard breakdown.
 	model, err := c.Model(ctx)
 	if err != nil {
 		log.Fatalf("model: %v", err)

@@ -100,11 +100,10 @@ type QueryResult struct {
 	OptimizerCost float64 `json:"optimizer_cost,omitempty"`
 	// Generation is the model generation that produced this result (it can
 	// differ between results of one batch when a hot swap lands mid-batch).
-	// On a sharded daemon, generations are per shard.
+	// On a multi-shard daemon, generations are per shard.
 	Generation int64 `json:"generation,omitempty"`
 	// Shard is the owning shard of this query per the partitioner, present
-	// only when the daemon runs more than one shard (a single-shard daemon
-	// keeps the unsharded wire format byte-identical). It names the shard
+	// only when the daemon runs more than one shard. It names the shard
 	// that owns the query even when a cold-start fallback served it; the
 	// serving shard is then reported in FallbackShard.
 	Shard string `json:"shard,omitempty"`
@@ -248,7 +247,7 @@ type ObserveResponse struct {
 	Shard string `json:"shard,omitempty"`
 }
 
-// ShardInfo describes one shard of a sharded daemon (GET /v1/shards).
+// ShardInfo describes one shard of the daemon (GET /v1/shards).
 type ShardInfo struct {
 	// ID is the shard index; results carry it in their "shard" field.
 	ID int `json:"id"`
@@ -321,8 +320,8 @@ type CategoryScore struct {
 }
 
 // ShardsResponse is the body of GET /v1/shards: the routing policy and the
-// per-shard model state. The endpoint exists only on a sharded daemon
-// (including -shards=1).
+// per-shard model state. Every daemon serves it; one without -shards
+// reports its single shard.
 type ShardsResponse struct {
 	Version     string      `json:"version"`
 	Partitioner string      `json:"partitioner"`

@@ -8,36 +8,7 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/catalog"
-	"repro/internal/core"
-	"repro/internal/exec"
-	"repro/internal/wal"
 )
-
-// durableConfig wires a cold sliding server to a durable store in dir.
-func durableConfig(t testing.TB, dir string) Config {
-	t.Helper()
-	fixture(t)
-	st, err := wal.OpenStore(wal.StoreOptions{
-		Dir: dir, Policy: wal.SyncNone, SnapshotEvery: 100,
-		Plan: PlannerFunc(catalog.TPCDS(1), fixDataSeed, exec.Research4()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sliding, err := core.NewSliding(40, 10, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Config{
-		Sliding:  sliding,
-		Store:    st,
-		Schema:   catalog.TPCDS(1),
-		Machine:  exec.Research4(),
-		DataSeed: fixDataSeed,
-		Timeout:  10 * time.Second,
-	}
-}
 
 // modelInfoOf fetches GET /v1/model, or nil while the server is still cold.
 func modelInfoOf(t testing.TB, url string) *api.ModelInfo {
@@ -70,10 +41,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 
 	// First life: boot cold, stream 25 executed queries (retrains at 10
 	// and 20), capture a prediction once both swaps landed.
-	s1, err := New(durableConfig(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s1 := newDurableServer(t, dir)
 	ts1 := httptest.NewServer(s1.Handler())
 	var obsReq api.ObserveRequest
 	for _, q := range pool.Queries[:25] {
@@ -101,25 +69,7 @@ func TestWarmRestartByteIdentical(t *testing.T) {
 	s1.Close() // clean shutdown: drains the observe queue, final snapshot
 
 	// Second life: recover from the state dir and serve at once.
-	st2, err := wal.OpenStore(wal.StoreOptions{
-		Dir: dir, Policy: wal.SyncNone, SnapshotEvery: 100,
-		Plan: PlannerFunc(catalog.TPCDS(1), fixDataSeed, exec.Research4()),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sliding2, gen, err := st2.Recover(40, 10, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(Config{
-		Sliding: sliding2, Store: st2, BootGen: gen,
-		Schema: catalog.TPCDS(1), Machine: exec.Research4(),
-		DataSeed: fixDataSeed, Timeout: 10 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s2 := newDurableServer(t, dir)
 	defer s2.Close()
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()

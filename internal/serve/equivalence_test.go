@@ -11,6 +11,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/shard"
 	"repro/internal/workload"
 )
 
@@ -93,18 +94,7 @@ func TestCoalescedEquivalence(t *testing.T) {
 func TestHotSwapEquivalence(t *testing.T) {
 	pool, pred := fixture(t)
 	const capacity, retrainEvery = 40, 10
-	sliding, err := core.NewSliding(capacity, retrainEvery, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig(t)
-	cfg.Sliding = sliding
-	cfg.Window = 2 * time.Millisecond
-	cfg.MaxBatch = 8
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSlidingServer(t, pred, capacity, retrainEvery, shard.Config{Window: 2 * time.Millisecond, MaxBatch: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

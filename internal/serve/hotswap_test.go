@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/core"
+	"repro/internal/shard"
 )
 
 // TestHotSwapUnderLoad predicts continuously from several goroutines while
@@ -19,19 +19,8 @@ import (
 // response must be a complete 200 prediction, and the generations seen
 // must only ever move forward per client.
 func TestHotSwapUnderLoad(t *testing.T) {
-	pool, _ := fixture(t)
-	sliding, err := core.NewSliding(60, 20, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig(t)
-	cfg.Sliding = sliding
-	cfg.Window = 500 * time.Microsecond
-	cfg.MaxBatch = 8
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pool, pred := fixture(t)
+	s := newSlidingServer(t, pred, 60, 20, shard.Config{Window: 500 * time.Microsecond, MaxBatch: 8})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -16,8 +16,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
-	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/shard"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
@@ -275,26 +276,32 @@ func readAll(t testing.TB, resp *http.Response) []byte {
 	return buf.Bytes()
 }
 
-// TestOverload drives the bounded-queue 429 path deterministically: the
-// server is assembled by hand with a full queue and no coalescer draining
-// it, so the submit must shed.
+// TestOverload drives the bounded-queue 429 path deterministically: one
+// request pins the shard's coalescer inside a blocking model, a second
+// fills the one queue slot, so the third must shed.
 func TestOverload(t *testing.T) {
-	_, pred := fixture(t)
-	s := &Server{
-		cfg: Config{
-			Schema: catalog.TPCDS(1), Machine: exec.Research4(), DataSeed: fixDataSeed,
-			MaxBatch: 8, QueueCap: 1, Timeout: time.Second, MaxQueries: 16, MaxBody: 1 << 20,
-		},
-		plans:        NewPlanner(catalog.TPCDS(1), fixDataSeed, exec.Research4(), 0),
-		queue:        make(chan *batchItem, 1),
-		coalesceDone: make(chan struct{}),
-	}
-	s.slot.swap(model.WrapKCCA(pred))
-	s.queue <- &batchItem{done: make(chan struct{})} // queue now full
+	pool, _ := fixture(t)
+	s, m := newBlockedServer(t, 1, 1, time.Second)
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	defer close(m.release)
 
-	pool, _ := fixture(t)
+	post := func() {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json",
+			strings.NewReader(`{"sql":"`+pool.Queries[120].SQL+`"}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}
+	go post()
+	<-m.entered
+	go post()
+	queued := obs.GetGauge("serve.queue.depth")
+	for queued.Value() < 1 {
+		time.Sleep(time.Millisecond)
+	}
+
 	resp, raw := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{SQL: pool.Queries[121].SQL})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, raw)
@@ -309,24 +316,16 @@ func TestOverload(t *testing.T) {
 }
 
 // TestPredictTimeout drives the per-request deadline deterministically:
-// the hand-assembled server has queue capacity but nothing answering, so
-// the handler's wait must expire.
+// the shard's model blocks until the test ends, so the handler's wait must
+// expire.
 func TestPredictTimeout(t *testing.T) {
-	_, pred := fixture(t)
-	s := &Server{
-		cfg: Config{
-			Schema: catalog.TPCDS(1), Machine: exec.Research4(), DataSeed: fixDataSeed,
-			MaxBatch: 8, QueueCap: 16, Timeout: 50 * time.Millisecond, MaxQueries: 16, MaxBody: 1 << 20,
-		},
-		plans:        NewPlanner(catalog.TPCDS(1), fixDataSeed, exec.Research4(), 0),
-		queue:        make(chan *batchItem, 16),
-		coalesceDone: make(chan struct{}),
-	}
-	s.slot.swap(model.WrapKCCA(pred))
+	pool, _ := fixture(t)
+	s, m := newBlockedServer(t, 16, 8, 50*time.Millisecond)
+	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	defer close(m.release)
 
-	pool, _ := fixture(t)
 	resp, raw := postJSON(t, ts.URL+"/v1/predict", api.PredictRequest{SQL: pool.Queries[121].SQL})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", resp.StatusCode, raw)
@@ -344,17 +343,7 @@ func TestPredictTimeout(t *testing.T) {
 // sliding window — and watches it become ready after enough feedback.
 func TestColdStartAndReadiness(t *testing.T) {
 	pool, _ := fixture(t)
-	sliding, err := core.NewSliding(30, 10, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig(t)
-	cfg.Predictor = nil
-	cfg.Sliding = sliding
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSlidingServer(t, nil, 30, 10, shard.Config{})
 	defer s.Close()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -1,12 +1,10 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,8 +13,8 @@ import (
 	"repro/internal/shard"
 )
 
-// newShardedServer builds a Server backed by the shard tier: n shards, each
-// booted from the fixture model with its own sliding window.
+// newShardedServer builds a Server backed by n shards, each booted from
+// the fixture model with its own sliding window.
 func newShardedServer(t testing.TB, n int, part shard.Partitioner, capacity, every int) *Server {
 	t.Helper()
 	_, pred := fixture(t)
@@ -28,18 +26,7 @@ func newShardedServer(t testing.TB, n int, part shard.Partitioner, capacity, eve
 		}
 		cfgs[i] = shard.ShardConfig{Boot: pred, Sliding: sl}
 	}
-	router, err := shard.NewRouter(cfgs, part, shard.Config{}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := baseConfig(t)
-	cfg.Predictor = nil
-	cfg.Router = router
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	return newRouterServer(t, cfgs, part, shard.Config{})
 }
 
 // getBody fetches a URL and returns status + body.
@@ -70,162 +57,6 @@ func settleModel(t testing.TB, url string, window int, gen int64) []byte {
 			t.Fatalf("model never settled to window %d generation %d: %s", window, gen, raw)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestShardedSingleEquivalence is the tier's compatibility contract: a
-// one-shard sharded daemon must be byte-identical on the wire to the
-// unsharded daemon — same success bodies, same error bodies, same headers
-// that clients branch on — across predicts, observes, a background retrain
-// and the resulting hot swap. The only deliberate difference is
-// /v1/shards, which exists only on the sharded daemon.
-func TestShardedSingleEquivalence(t *testing.T) {
-	pool, _ := fixture(t)
-	const capacity, every = 30, 10
-
-	legacySliding, err := core.NewSliding(capacity, every, core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyCfg := baseConfig(t)
-	legacyCfg.Sliding = legacySliding
-	legacy, err := New(legacyCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-
-	sharded := newShardedServer(t, 1, shard.Passthrough{}, capacity, every)
-	defer sharded.Close()
-
-	lts := httptest.NewServer(legacy.Handler())
-	defer lts.Close()
-	sts := httptest.NewServer(sharded.Handler())
-	defer sts.Close()
-
-	// both drives one request against both servers and asserts the status,
-	// the body, and the Retry-After header are byte-identical.
-	both := func(label string, do func(base string) (*http.Response, []byte)) []byte {
-		t.Helper()
-		lresp, lraw := do(lts.URL)
-		sresp, sraw := do(sts.URL)
-		if lresp.StatusCode != sresp.StatusCode {
-			t.Fatalf("%s: status %d (legacy) vs %d (sharded)", label, lresp.StatusCode, sresp.StatusCode)
-		}
-		if !bytes.Equal(lraw, sraw) {
-			t.Fatalf("%s: bodies differ\nlegacy:  %s\nsharded: %s", label, lraw, sraw)
-		}
-		if la, sa := lresp.Header.Get("Retry-After"), sresp.Header.Get("Retry-After"); la != sa {
-			t.Fatalf("%s: Retry-After %q (legacy) vs %q (sharded)", label, la, sa)
-		}
-		return lraw
-	}
-	get := func(path string) func(string) (*http.Response, []byte) {
-		return func(base string) (*http.Response, []byte) {
-			resp, err := http.Get(base + path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resp, readAll(t, resp)
-		}
-	}
-	post := func(path string, body any) func(string) (*http.Response, []byte) {
-		return func(base string) (*http.Response, []byte) {
-			resp, raw := postJSON(t, base+path, body)
-			return resp, raw
-		}
-	}
-
-	// Boot state: readiness, model metadata.
-	both("readyz", get("/readyz"))
-	both("model", get("/v1/model"))
-
-	// Predictions: single, batch, mixed good/bad SQL.
-	both("predict single", post("/v1/predict", api.PredictRequest{SQL: pool.Queries[130].SQL}))
-	both("predict batch", post("/v1/predict", api.PredictRequest{Queries: []api.QueryInput{
-		{SQL: pool.Queries[121].SQL},
-		{SQL: "SELEC nonsense FROM ("},
-		{SQL: "SELECT COUNT(*) FROM no_such_table"},
-		{SQL: pool.Queries[122].SQL},
-	}}))
-
-	// Error paths: empty body, wrong method.
-	both("predict empty", post("/v1/predict", api.PredictRequest{}))
-	both("predict method", get("/v1/predict"))
-	both("observe empty", post("/v1/observe", api.ObserveRequest{}))
-
-	// Observe enough to cross the retrain threshold: both daemons train on
-	// the identical stream, and training is deterministic, so both swap in
-	// generation 2 models that answer identically. Observe responses report
-	// an asynchronously-updated window mirror, racy in *both*
-	// implementations — settle via /v1/model, whose body is then compared
-	// byte-for-byte, before comparing post-swap predictions.
-	var obs []api.Observation
-	for _, q := range pool.Queries[:every] {
-		obs = append(obs, api.Observation{SQL: q.SQL, Metrics: api.MetricsFrom(q.Metrics)})
-	}
-	lresp, lraw := postJSON(t, lts.URL+"/v1/observe", api.ObserveRequest{Observations: obs})
-	sresp, sraw := postJSON(t, sts.URL+"/v1/observe", api.ObserveRequest{Observations: obs})
-	if lresp.StatusCode != http.StatusAccepted || sresp.StatusCode != http.StatusAccepted {
-		t.Fatalf("observe status %d / %d: %s / %s", lresp.StatusCode, sresp.StatusCode, lraw, sraw)
-	}
-	var lor, sor api.ObserveResponse
-	if err := json.Unmarshal(lraw, &lor); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(sraw, &sor); err != nil {
-		t.Fatal(err)
-	}
-	if lor.Accepted != sor.Accepted || sor.Shard != "" {
-		t.Fatalf("observe responses diverge: legacy %+v, sharded %+v", lor, sor)
-	}
-
-	lsettled := settleModel(t, lts.URL, every, 2)
-	ssettled := settleModel(t, sts.URL, every, 2)
-	if !bytes.Equal(lsettled, ssettled) {
-		t.Fatalf("settled model bodies differ\nlegacy:  %s\nsharded: %s", lsettled, ssettled)
-	}
-
-	raw := both("predict after swap", post("/v1/predict", api.PredictRequest{Queries: []api.QueryInput{
-		{SQL: pool.Queries[140].SQL}, {SQL: pool.Queries[141].SQL},
-	}}))
-	pr := decodePredict(t, raw)
-	if pr.Model.Generation != 2 || pr.Model.Swaps != 1 {
-		t.Fatalf("post-swap model %+v, want generation 2", pr.Model)
-	}
-	for i, res := range pr.Results {
-		if res.Error != nil || res.Shard != "" || res.Generation != 2 {
-			t.Fatalf("post-swap result %d: %+v", i, res)
-		}
-	}
-	if strings.Contains(string(raw), `"shards"`) || strings.Contains(string(raw), `"partitioner"`) {
-		t.Fatalf("single-shard response leaks shard fields: %s", raw)
-	}
-
-	// Drain: identical shutdown bodies.
-	legacy.Close()
-	sharded.Close()
-	both("draining predict", post("/v1/predict", api.PredictRequest{SQL: pool.Queries[130].SQL}))
-	both("draining readyz", get("/readyz"))
-
-	// The one deliberate difference: /v1/shards.
-	lst, _ := getBody(t, lts.URL+"/v1/shards")
-	if lst != http.StatusBadRequest {
-		t.Fatalf("unsharded /v1/shards status %d, want 400", lst)
-	}
-	sst, sbody := getBody(t, sts.URL+"/v1/shards")
-	if sst != http.StatusOK {
-		t.Fatalf("sharded /v1/shards status %d: %s", sst, sbody)
-	}
-	var sh api.ShardsResponse
-	if err := json.Unmarshal(sbody, &sh); err != nil {
-		t.Fatal(err)
-	}
-	if len(sh.Shards) != 1 || sh.Partitioner != "passthrough" || !sh.Shards[0].Ready {
-		t.Fatalf("shards body %s", sbody)
-	}
-	if sh.Shards[0].Generation != 2 || sh.Shards[0].TrainedOn != every {
-		t.Fatalf("shard 0 state %+v, want generation 2 trained on %d", sh.Shards[0], every)
 	}
 }
 

@@ -160,8 +160,9 @@ func (p *CategoryPartitioner) RouteObserve(q *dataset.Query) (int, error) {
 	return int(q.Category) % p.n, nil
 }
 
-// Passthrough routes everything to shard 0 — the single-shard degenerate
-// case, where the tier must be byte-identical to the unsharded daemon.
+// Passthrough routes everything to shard 0: the partitioner of every
+// one-shard router, where fingerprinting a query to pick a shard would be
+// wasted work.
 type Passthrough struct{}
 
 func (Passthrough) Name() string                             { return "passthrough" }

@@ -96,8 +96,8 @@ func (r *Router) Close() {
 // NumShards returns the shard count.
 func (r *Router) NumShards() int { return len(r.shards) }
 
-// Sharded reports whether the tier has more than one shard (when false the
-// serving layer keeps the unsharded wire format byte-identical).
+// Sharded reports whether the tier has more than one shard; only then does
+// the serving layer add shard fields to its responses.
 func (r *Router) Sharded() bool { return len(r.shards) > 1 }
 
 // Partitioner returns the router's partitioner.
@@ -180,14 +180,20 @@ type Outcome struct {
 }
 
 // Predict routes each planned query to its shard, fans the batch out, and
-// merges the results back in input order. Per-request errors are preserved
-// — a query that fails to route, overflows its shard's queue, or misses the
-// context deadline fails alone without voiding its neighbors. The context
-// bounds the whole fan-out: when it expires, still-pending outcomes carry
-// ctx.Err() and their items are abandoned (the owning shard skips them).
+// merges the results back in input order. Per-query errors are preserved:
+// a query that fails to route, or meets a cold shard with no rescue, fails
+// alone without voiding its neighbors. A shed or draining shard
+// (ErrOverloaded, ErrDraining) rejects the whole batch instead: Predict
+// stops submitting and returns at once with that error on every outcome
+// not already failed, and the caller cancels ctx so the shards skip the
+// queries already queued. The context bounds the whole fan-out: when it
+// expires, still-pending outcomes carry ctx.Err() and their items are
+// abandoned (the owning shard skips them).
 func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 	outs := make([]Outcome, len(qs))
-	items := make([]*Item, len(qs))
+	// One slab for every item: the shards may hold the pointers past this
+	// call when ctx abandons them, so the slab is never reused.
+	items := make([]Item, len(qs))
 	for i, q := range qs {
 		sh, owner, err := r.Target(q)
 		outs[i].Shard = owner
@@ -197,15 +203,20 @@ func (r *Router) Predict(ctx context.Context, qs []*dataset.Query) []Outcome {
 			continue
 		}
 		outs[i].Served = sh.ID
-		it := &Item{Ctx: ctx, Req: core.Request{Query: q}, Done: make(chan struct{})}
+		it := &items[i]
+		*it = Item{Ctx: ctx, Req: core.Request{Query: q}, Done: make(chan struct{})}
 		if err := sh.Submit(it); err != nil {
-			outs[i].Err = err
-			continue
+			for j := range outs {
+				if outs[j].Err == nil {
+					outs[j].Err = err
+				}
+			}
+			return outs
 		}
-		items[i] = it
 	}
-	for i, it := range items {
-		if it == nil {
+	for i := range items {
+		it := &items[i]
+		if it.Done == nil {
 			continue
 		}
 		select {

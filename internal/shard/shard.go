@@ -10,12 +10,11 @@
 // retrain cost scales with per-shard window size instead of fleet size,
 // compounding the incremental-retrain machinery of internal/kcca.
 //
-// The hot-swap discipline is the one internal/serve established for the
-// single-model daemon, factored into Slot: predictions read an atomic
-// pointer, completed retrains swap a new generation in without blocking a
-// read, and generations only move forward. With one shard and the
-// passthrough partitioner the tier is behaviorally identical to the
-// unsharded daemon (equivalence-tested in internal/serve).
+// Every qpredictd daemon serves through a Router, the stock one with a
+// single shard and the Passthrough partitioner. Each shard hot-swaps
+// through its Slot: predictions read an atomic pointer, completed retrains
+// swap a new generation in without blocking a read, and generations only
+// move forward.
 package shard
 
 import (
@@ -33,24 +32,29 @@ import (
 	"repro/internal/wal"
 )
 
-// Tier-wide serving metrics, shared with internal/serve's registry names so
-// dashboards see one continuous series whether the daemon is sharded or
-// not. Per-shard instruments (serve.shard.<id>.*) live on each Shard.
+// Tier-wide serving metrics, in the serve.* namespace of the daemon they
+// serve. The queue-depth gauges are sums over shards, kept with Add on
+// every enqueue and dequeue. Per-shard instruments (serve.shard.<id>.*)
+// live on each Shard.
 var (
-	batchSizeHist = obs.GetHistogram("serve.batch.size")
-	modelSwaps    = obs.GetCounter("serve.model.swaps")
-	retrainErrors = obs.GetCounter("serve.retrain.errors")
-	rejectedLoad  = obs.GetCounter("serve.rejected.overload")
-	snapshotFails = obs.GetCounter("wal.snapshot.errors")
+	queueDepth        = obs.GetGauge("serve.queue.depth")
+	observeQueueDepth = obs.GetGauge("serve.observe.queue_depth")
+	batchSizeHist     = obs.GetHistogram("serve.batch.size")
+	modelSwaps        = obs.GetCounter("serve.model.swaps")
+	retrainErrors     = obs.GetCounter("serve.retrain.errors")
+	rejectedLoad      = obs.GetCounter("serve.rejected.overload")
+	snapshotFails     = obs.GetCounter("wal.snapshot.errors")
 )
 
-// Sentinel errors of the shard tier.
+// Sentinel errors of the shard tier. The texts of ErrOverloaded and
+// ErrDraining are part of the daemon's wire format: the serving layer sends
+// them verbatim as the 429 and 503 messages.
 var (
 	// ErrOverloaded: the target shard's bounded queue is full; shed and
 	// retry (HTTP 429 at the serving layer).
-	ErrOverloaded = errors.New("shard: request queue is full")
-	// ErrDraining: the tier is shutting down.
-	ErrDraining = errors.New("shard: tier is draining")
+	ErrOverloaded = errors.New("serve: request queue is full")
+	// ErrDraining: the tier is shutting down (HTTP 503).
+	ErrDraining = errors.New("serve: daemon is draining")
 	// ErrNoShards: a router was built with zero shards.
 	ErrNoShards = errors.New("shard: router has no shards")
 )
@@ -67,7 +71,6 @@ type Item struct {
 	Req core.Request
 	Res core.Result
 	Gen int64
-	Sh  int
 	// Kind is the model kind that answered (filled with Res/Gen), so
 	// responses attribute every prediction — including cold-start fallback
 	// answers — to the model family that produced it.
@@ -98,9 +101,8 @@ func (c *Config) fill() {
 }
 
 // Shard is one model partition: a sliding retraining window, a
-// hot-swappable model slot, a micro-batch coalescer, and an observe loop —
-// the full serving spine of the unsharded daemon, owned per partition so
-// shards never contend. Create via NewRouter.
+// hot-swappable model slot, a micro-batch coalescer, and an observe loop,
+// owned per partition so shards never contend. Create via NewRouter.
 type Shard struct {
 	// ID is the shard's index in its router, also the <id> of its
 	// serve.shard.<id>.* metrics.
@@ -241,11 +243,14 @@ func (s *Shard) Submit(it *Item) error {
 	if s.closed {
 		return ErrDraining
 	}
-	it.Sh = s.ID
+	// Count before the send so the dequeue's decrement can never run first
+	// and drive the gauge negative.
+	queueDepth.Add(1)
 	select {
 	case s.queue <- it:
 		return nil
 	default:
+		queueDepth.Add(-1)
 		rejectedLoad.Inc()
 		return ErrOverloaded
 	}
@@ -264,10 +269,12 @@ func (s *Shard) Observe(q *dataset.Query) error {
 	if s.observeCh == nil {
 		return fmt.Errorf("shard %d: no sliding window (static model)", s.ID)
 	}
+	observeQueueDepth.Add(1)
 	select {
 	case s.observeCh <- q:
 		return nil
 	default:
+		observeQueueDepth.Add(-1)
 		rejectedLoad.Inc()
 		return ErrOverloaded
 	}
@@ -358,6 +365,7 @@ func (s *Shard) afterObserve(retrainsBefore int, err error) {
 func (s *Shard) observeLoop() {
 	defer close(s.observeDone)
 	for q := range s.observeCh {
+		observeQueueDepth.Add(-1)
 		seq := s.logObservation(q)
 		// Shadow-score before the window sees the query: every model is
 		// evaluated on data it has never trained on.
@@ -370,10 +378,13 @@ func (s *Shard) observeLoop() {
 	}
 }
 
-// coalesceLoop gathers concurrently submitted items into micro-batches,
-// exactly as the unsharded daemon's coalescer does — but per shard, so a
-// slow shard stalls only its own queue and unrelated requests on other
-// shards proceed within their own deadlines.
+// coalesceLoop gathers concurrently submitted items into micro-batches:
+// the first arrival opens a batch, then up to Window elapses (or MaxBatch
+// is reached, or the queue closes) before the batch is fed through one
+// Predict call. With Window zero the loop still sweeps whatever is already
+// queued, so bursts batch without adding latency. Each shard runs its own,
+// so a slow shard stalls only its own queue and requests on other shards
+// proceed within their own deadlines.
 func (s *Shard) coalesceLoop() {
 	defer close(s.coalesceDone)
 	// batch and the runBatch request scratch are owned by this goroutine and
@@ -422,6 +433,7 @@ func (s *Shard) coalesceLoop() {
 				}
 			}
 		}
+		queueDepth.Add(-int64(len(batch)))
 		s.runBatch(batch)
 		// Drop the item pointers so answered items are collectable while the
 		// slice itself is reused for the next batch.

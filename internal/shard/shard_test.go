@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/exec"
+	"repro/internal/obs"
 	"repro/internal/workload"
 )
 
@@ -268,6 +269,65 @@ func TestSlowShardIsolation(t *testing.T) {
 	}
 }
 
+// TestShedSkipsQueuedSiblings is the regression test for a shed batch: when
+// the k-th query of a batch overflows its shard's queue, Predict returns the
+// shed error at once instead of waiting for the k-1 siblings it already
+// queued, and once the caller cancels, the shard skips those siblings
+// rather than predicting them for nobody.
+func TestShedSkipsQueuedSiblings(t *testing.T) {
+	pool, pred := fixture(t)
+	r, err := NewRouter([]ShardConfig{{Boot: pred}}, Passthrough{}, Config{QueueCap: 2, MaxBatch: 1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	sh := r.Shard(0)
+	release := make(chan struct{})
+	stalled := make(chan struct{})
+	var once sync.Once
+	sh.batchHook = func() {
+		once.Do(func() { close(stalled) })
+		<-release
+	}
+	var released sync.Once
+	defer released.Do(func() { close(release) })
+
+	// Pin the coalescer inside its first batch, leaving the queue empty.
+	pinDone := make(chan Outcome, 1)
+	go func() { pinDone <- r.Predict(context.Background(), pool.Queries[120:121])[0] }()
+	<-stalled
+	before := sh.Predictions()
+
+	// Two queries fill the queue; the third overflows it.
+	ctx, cancel := context.WithCancel(context.Background())
+	shed := make(chan []Outcome, 1)
+	go func() { shed <- r.Predict(ctx, pool.Queries[121:124]) }()
+	var outs []Outcome
+	select {
+	case outs = <-shed:
+	case <-time.After(5 * time.Second):
+		t.Error("Predict blocked on its queued siblings after a shed")
+		released.Do(func() { close(release) })
+		outs = <-shed
+	}
+	if !errors.Is(outs[2].Err, ErrOverloaded) {
+		t.Fatalf("overflowing query err = %v, want ErrOverloaded", outs[2].Err)
+	}
+	cancel()
+	released.Do(func() { close(release) })
+	if out := <-pinDone; out.Err != nil || out.Res.Err != nil {
+		t.Fatalf("pinning request failed: %v / %v", out.Err, out.Res.Err)
+	}
+	// The queue is FIFO, so once a fresh request is answered every sibling
+	// before it has been skipped or predicted.
+	if out := r.Predict(context.Background(), pool.Queries[124:125])[0]; out.Err != nil || out.Res.Err != nil {
+		t.Fatalf("fresh request failed: %v / %v", out.Err, out.Res.Err)
+	}
+	if got := sh.Predictions(); got != before+2 {
+		t.Fatalf("shard predicted %d queries, want 2 (the pinning and the fresh request; the shed request's siblings must be skipped)", got-before)
+	}
+}
+
 // TestFingerprintDeterminism is the cross-package determinism check: the
 // consistent-hash partitioner must key its ring lookups by exactly the
 // fingerprint the projection cache uses — core.Fingerprint of the query's
@@ -421,6 +481,15 @@ func TestRouterObserveWarmsOwner(t *testing.T) {
 	}
 	if got := r.TotalWindow(); got != 7 {
 		t.Errorf("TotalWindow %d, want 7", got)
+	}
+	// The tier-wide queue gauges sum over shards and return to zero once
+	// a drain has emptied every queue.
+	r.Predict(context.Background(), pool.Queries[120:130])
+	r.Close()
+	for _, name := range []string{"serve.queue.depth", "serve.observe.queue_depth"} {
+		if v := obs.GetGauge(name).Value(); v != 0 {
+			t.Errorf("%s = %d after drain, want 0", name, v)
+		}
 	}
 }
 

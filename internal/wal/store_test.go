@@ -413,4 +413,41 @@ func TestCheckManifest(t *testing.T) {
 	if err := wal.CheckManifest(dir, bad); err == nil {
 		t.Fatal("shard-count change accepted against an existing state dir")
 	}
+	bad = want
+	bad.Partitioner = "category"
+	if err := wal.CheckManifest(dir, bad); err == nil {
+		t.Fatal("partitioner change accepted against a multi-shard state dir")
+	}
+}
+
+// TestCheckManifestOneShard covers one-shard state dirs written by older
+// daemons: the unsharded daemon recorded partitioner "none" and -shards 1
+// recorded its -partitioner flag. Both route every observation to shard 0,
+// so a one-shard daemon opens either, whatever partitioner it names; a
+// change of shard count is still refused in both directions.
+func TestCheckManifestOneShard(t *testing.T) {
+	for _, old := range []string{"none", "hash", "category"} {
+		dir := t.TempDir()
+		written := []byte(`{"shards":1,"partitioner":"` + old + `","capacity":500,"retrain_every":100}`)
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), written, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		one := wal.Manifest{Shards: 1, Partitioner: "passthrough", Capacity: 500, RetrainEvery: 100}
+		if err := wal.CheckManifest(dir, one); err != nil {
+			t.Fatalf("one-shard daemon refused a %q state dir: %v", old, err)
+		}
+		two := one
+		two.Shards, two.Partitioner = 2, "hash"
+		if err := wal.CheckManifest(dir, two); err == nil {
+			t.Fatalf("two-shard daemon accepted a one-shard %q state dir", old)
+		}
+	}
+	dir := t.TempDir()
+	two := wal.Manifest{Shards: 2, Partitioner: "hash", Capacity: 500, RetrainEvery: 100}
+	if err := wal.CheckManifest(dir, two); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.CheckManifest(dir, wal.Manifest{Shards: 1, Partitioner: "passthrough", Capacity: 500, RetrainEvery: 100}); err == nil {
+		t.Fatal("one-shard daemon accepted a two-shard state dir")
+	}
 }

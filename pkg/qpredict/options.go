@@ -98,8 +98,7 @@ type SlidingOptions struct {
 
 // ShardOptions configures the sharded multi-model tier.
 type ShardOptions struct {
-	// Count is the shard count (0 = single model). Champion/challenger
-	// operation forces at least 1.
+	// Count is the shard count; 0 and 1 both run one shard.
 	Count int `json:"count"`
 	// Partitioner is the routing policy: "hash" or "category".
 	Partitioner string `json:"partitioner"`

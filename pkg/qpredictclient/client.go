@@ -180,8 +180,8 @@ func (c *Client) Model(ctx context.Context) (*api.ModelInfo, error) {
 	return resp.Model, nil
 }
 
-// Shards fetches the per-shard model state of a sharded daemon. An
-// unsharded daemon answers with an *APIError (code bad_request).
+// Shards fetches the per-shard model state: one entry per shard, a single
+// one on a daemon started without -shards.
 func (c *Client) Shards(ctx context.Context) (*api.ShardsResponse, error) {
 	var resp api.ShardsResponse
 	if err := c.do(ctx, http.MethodGet, "/v1/shards", nil, &resp); err != nil {
