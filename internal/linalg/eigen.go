@@ -21,54 +21,79 @@ type EigenSym struct {
 // using Householder tridiagonalization followed by the implicit QL
 // algorithm (the classic tred2/tql2 pair). Only the lower triangle of a is
 // read. The result is sorted by descending eigenvalue.
+//
+// The solver works on the transposed workspace W = Vᵀ, so eigenvector j is
+// row j of W and every inner loop walks contiguous memory. Each element
+// still sees the EISPACK routine's floating-point operations in the same
+// order, so the result is bit-identical to the textbook column-walking
+// transcription and to itself at every worker count.
 func SymEig(a *Matrix) (*EigenSym, error) {
+	vals, vecs, err := TopEigen(a, a.Rows)
+	if err != nil {
+		return nil, err
+	}
+	return &EigenSym{Values: vals, Vectors: vecs}, nil
+}
+
+// TopEigen returns the leading r eigenpairs (largest eigenvalues) of the
+// symmetric matrix a: the first r of SymEig's, bit for bit and in the same
+// order among ties. Only those r eigenvectors are copied out of the
+// workspace, into an N×r matrix; r is clamped to the matrix dimension.
+func TopEigen(a *Matrix, r int) (vals []float64, vecs *Matrix, err error) {
 	defer obs.Span("linalg.eigen")()
 	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: SymEig requires a square matrix")
+		return nil, nil, errors.New("linalg: SymEig requires a square matrix")
 	}
 	n := a.Rows
 	if n == 0 {
-		return &EigenSym{Values: nil, Vectors: NewMatrix(0, 0)}, nil
+		return nil, NewMatrix(0, 0), nil
 	}
-	v := a.Clone()
 	// Symmetrize from the lower triangle so callers may pass matrices with
-	// tiny asymmetries from floating point accumulation.
+	// tiny asymmetries from floating point accumulation. The result is
+	// symmetric, so it is its own transpose and seeds W directly.
+	w := a.Clone()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			v.Set(i, j, v.At(j, i))
+			w.Data[i*n+j] = w.Data[j*n+i]
 		}
 	}
 	d := make([]float64, n)
 	e := make([]float64, n)
-	tred2(v, d, e)
-	if err := tql2(v, d, e); err != nil {
-		return nil, err
+	tred2(w, d, e)
+	if err := tql2(w, d, e); err != nil {
+		return nil, nil, err
 	}
-	// Sort by descending eigenvalue, permuting eigenvector columns.
+	// Sort by descending eigenvalue; row j of W becomes a column of vecs.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
 	sort.Slice(idx, func(p, q int) bool { return d[idx[p]] > d[idx[q]] })
-	vals := make([]float64, n)
-	vecs := NewMatrix(n, n)
-	for c, j := range idx {
+	if r > n {
+		r = n
+	}
+	vals = make([]float64, r)
+	vecs = NewMatrix(n, r)
+	for c, j := range idx[:r] {
 		vals[c] = d[j]
-		for i := 0; i < n; i++ {
-			vecs.Set(i, c, v.At(i, j))
+		for i, x := range w.Row(j) {
+			vecs.Data[i*r+c] = x
 		}
 	}
-	return &EigenSym{Values: vals, Vectors: vecs}, nil
+	return vals, vecs, nil
 }
 
-// tred2 reduces the symmetric matrix stored in v to tridiagonal form using
+// tred2 reduces the symmetric matrix stored in w to tridiagonal form using
 // Householder similarity transformations, accumulating the transformations
-// in v. On return d holds the diagonal and e the subdiagonal. This is a
-// direct translation of the EISPACK routine.
-func tred2(v *Matrix, d, e []float64) {
-	n := v.Rows
+// in w. On return d holds the diagonal and e the subdiagonal. It is the
+// EISPACK routine with the accumulator transposed: every reference to
+// element (r, c) of the routine's V is to element (c, r) of w, so the
+// column walks of the original are row walks here.
+func tred2(w *Matrix, d, e []float64) {
+	n := w.Rows
+	a := w.Data
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
+		d[j] = a[j*n+n-1]
 	}
 	for i := n - 1; i > 0; i-- {
 		scale := 0.0
@@ -79,9 +104,9 @@ func tred2(v *Matrix, d, e []float64) {
 		if scale == 0 {
 			e[i] = d[i-1]
 			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
+				d[j] = a[j*n+i-1]
+				a[j*n+i] = 0
+				a[i*n+j] = 0
 			}
 		} else {
 			for k := 0; k < i; k++ {
@@ -99,13 +124,19 @@ func tred2(v *Matrix, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] = 0
 			}
+			wi := a[i*n : i*n+i]
 			for j := 0; j < i; j++ {
 				f = d[j]
-				v.Set(j, i, f)
-				g = e[j] + v.At(j, j)*f
-				for k := j + 1; k <= i-1; k++ {
-					g += v.At(k, j) * d[k]
-					e[k] += v.At(k, j) * f
+				wi[j] = f
+				g = e[j] + a[j*n+j]*f
+				// Row j right of the diagonal, with d and e cut to match so
+				// the loop runs without bounds checks.
+				wj := a[j*n+j+1 : j*n+i]
+				dk, ek := d[j+1:i], e[j+1:i]
+				dk, ek = dk[:len(wj)], ek[:len(wj)]
+				for k, x := range wj {
+					g += x * dk[k]
+					ek[k] += x * f
 				}
 				e[j] = g
 			}
@@ -118,66 +149,75 @@ func tred2(v *Matrix, d, e []float64) {
 			for j := 0; j < i; j++ {
 				e[j] -= hh * d[j]
 			}
-			// Column updates are independent (column j only reads d and e,
-			// which are fixed here, plus its own entries), so they go to the
+			// Row updates are independent (row j only reads d and e, which
+			// are fixed here, plus its own entries), so they go to the
 			// worker pool; the d refresh moves after the barrier because
-			// column j's final entries are written only by its own worker.
+			// row j's final entries are written only by its own worker.
 			parallel.For(i, parallel.GrainFor(i/2+1, 1<<14), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
 					fj := d[j]
 					gj := e[j]
-					for k := j; k <= i-1; k++ {
-						v.Set(k, j, v.At(k, j)-(fj*e[k]+gj*d[k]))
+					wj := a[j*n+j : j*n+i]
+					ek, dk := e[j:i], d[j:i]
+					ek, dk = ek[:len(wj)], dk[:len(wj)]
+					for k := range wj {
+						wj[k] -= fj*ek[k] + gj*dk[k]
 					}
 				}
 			})
 			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
+				d[j] = a[j*n+i-1]
+				a[j*n+i] = 0
 			}
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		v.Set(n-1, i, v.At(i, i))
-		v.Set(i, i, 1)
+		a[i*n+n-1] = a[i*n+i]
+		a[i*n+i] = 1
 		h := d[i+1]
+		u := a[(i+1)*n : (i+1)*n+i+1]
 		if h != 0 {
-			for k := 0; k <= i; k++ {
-				d[k] = v.At(k, i+1) / h
+			du := d[:len(u)]
+			for k, x := range u {
+				du[k] = x / h
 			}
-			// Independent per column j: reads column i+1 and d (both fixed),
-			// writes only column j. Exact at every worker count.
+			// Independent per row j: reads row i+1 and d (both fixed),
+			// writes only row j. Exact at every worker count.
 			parallel.For(i+1, parallel.GrainFor(i+1, 1<<14), func(lo, hi int) {
 				for j := lo; j < hi; j++ {
+					wj := a[j*n:][:len(u)]
 					g := 0.0
-					for k := 0; k <= i; k++ {
-						g += v.At(k, i+1) * v.At(k, j)
+					for k, x := range u {
+						g += x * wj[k]
 					}
-					for k := 0; k <= i; k++ {
-						v.Set(k, j, v.At(k, j)-g*d[k])
+					for k, x := range du[:len(wj)] {
+						wj[k] -= g * x
 					}
 				}
 			})
 		}
-		for k := 0; k <= i; k++ {
-			v.Set(k, i+1, 0)
+		for k := range u {
+			u[k] = 0
 		}
 	}
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
-		v.Set(n-1, j, 0)
+		d[j] = a[j*n+n-1]
+		a[j*n+n-1] = 0
 	}
-	v.Set(n-1, n-1, 1)
+	a[n*n-1] = 1
 	e[0] = 0
 }
 
 // tql2 computes the eigendecomposition of the symmetric tridiagonal matrix
 // (d, e) using the implicit QL algorithm, updating the accumulated
-// transformations in v. Direct translation of the EISPACK routine.
-func tql2(v *Matrix, d, e []float64) error {
-	n := v.Rows
+// transformations in the transposed workspace w. EISPACK routine; each
+// Givens rotation of columns (i, i+1) of V is a rotation of the two
+// adjacent rows i, i+1 of w, a plain contiguous loop.
+func tql2(w *Matrix, d, e []float64) error {
+	n := w.Rows
+	a := w.Data
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -235,18 +275,15 @@ func tql2(v *Matrix, d, e []float64) error {
 					c = p / r
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
-					// Accumulate transformation: a Givens rotation of columns
-					// (i, i+1), independent per row k. The grain keeps small
-					// matrices on the exact serial path; h is shadowed so the
-					// outer variable is untouched under parallel execution.
-					cc, ss := c, s
-					parallel.For(n, parallel.GrainFor(6, 1<<14), func(lo, hi int) {
-						for k := lo; k < hi; k++ {
-							hk := v.At(k, i+1)
-							v.Set(k, i+1, ss*v.At(k, i)+cc*hk)
-							v.Set(k, i, cc*v.At(k, i)-ss*hk)
-						}
-					})
+					// Accumulate transformation.
+					wi := a[i*n : i*n+n]
+					wi1 := a[(i+1)*n : (i+1)*n+n]
+					wi1 = wi1[:len(wi)]
+					for k, x := range wi {
+						hk := wi1[k]
+						wi1[k] = s*x + c*hk
+						wi[k] = c*x - s*hk
+					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
@@ -260,19 +297,4 @@ func tql2(v *Matrix, d, e []float64) error {
 		e[l] = 0
 	}
 	return nil
-}
-
-// TopEigen returns the leading r eigenpairs (largest eigenvalues) of the
-// symmetric matrix a. It simply truncates a full decomposition; r is clamped
-// to the matrix dimension.
-func TopEigen(a *Matrix, r int) (vals []float64, vecs *Matrix, err error) {
-	es, err := SymEig(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(es.Values)
-	if r > n {
-		r = n
-	}
-	return es.Values[:r], es.Vectors.SliceCols(0, r), nil
 }
