@@ -1,8 +1,8 @@
 // Command qpredictd is the online prediction service: the paper's Fig. 1
 // vendor-trains / customer-predicts workflow as a long-running daemon. It
 // trains (or loads) a performance predictor at boot, then serves JSON
-// predictions over HTTP, micro-batching concurrent requests through the
-// shared worker pool and hot-swapping in background retrains fed by
+// predictions over HTTP, micro-batching concurrent requests into parallel
+// batch predictions and hot-swapping in background retrains fed by
 // /v1/observe execution feedback. See docs/API.md for the wire schema.
 //
 // Usage:
@@ -46,6 +46,7 @@ import (
 	"path/filepath"
 	"strings"
 	"syscall"
+	"time"
 
 	"repro/internal/catalog"
 	"repro/internal/cli"
@@ -412,7 +413,7 @@ func main() {
 	if err != nil {
 		cli.Fatalf("listening on %s: %v", opts.Serve.Addr, err)
 	}
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := newHTTPServer(mux)
 	modelDesc := "model: recovered from state"
 	if predictor != nil {
 		modelDesc = fmt.Sprintf("model: %d queries", predictor.N())
@@ -435,5 +436,26 @@ func main() {
 		cli.Exit(0)
 	case err := <-errc:
 		cli.Fatalf("server: %v", err)
+	}
+}
+
+// Connection limits of the serving listener. A client gets
+// readHeaderTimeout to send its request line and headers, and an idle
+// keep-alive connection is closed after idleTimeout. There is deliberately
+// no ReadTimeout or WriteTimeout: large batch bodies and predictions that
+// wait in the queue are legitimate, and -timeout already bounds the wait.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 64 << 10
+)
+
+// newHTTPServer wraps h in an http.Server with the connection limits above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }

@@ -35,10 +35,10 @@ type Result struct {
 }
 
 // Predict evaluates every request and returns one Result per request, in
-// order. Requests fan out across the shared worker pool (a trained
+// order. Requests fan out through parallel.For (a trained
 // Predictor is immutable, so concurrent predictions are safe); results are
 // positionally bit-identical to evaluating each request alone. A single
-// request takes the serial path with no pool traffic.
+// request takes the serial path and starts no helper goroutine.
 func (p *Predictor) Predict(reqs ...Request) []Result {
 	defer obs.Span("core.predict_batch")()
 	batchSize.Observe(float64(len(reqs)))

@@ -51,8 +51,8 @@ type Scenario struct {
 }
 
 // SimulateScenarios evaluates many admission policies over the same
-// workload, one SimulateConcurrent run per scenario, fanned out on the
-// shared worker pool (each run reads the input slices and writes only its
+// workload, one SimulateConcurrent run per scenario, fanned out through
+// parallel.For (each run reads the input slices and writes only its
 // own outcome, so results are identical to a serial loop). Workload
 // managers use it to sweep candidate multiprogramming levels in one call.
 func SimulateScenarios(arrivalSec, soloSec []float64, scenarios []Scenario) ([]ConcurrentOutcome, error) {

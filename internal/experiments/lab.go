@@ -289,8 +289,8 @@ func (l *Lab) splitProd(ds *dataset.Dataset) (train, test []*dataset.Query) {
 	return train, test
 }
 
-// Evaluate runs the predictor over the test queries (batched across the
-// worker pool) and returns per-metric prediction and actual series (indexed
+// Evaluate runs the predictor over the test queries (batched through
+// parallel.For) and returns per-metric prediction and actual series (indexed
 // by exec metric constants).
 func Evaluate(p *core.Predictor, test []*dataset.Query) (pred, act [exec.NumMetrics][]float64, err error) {
 	prs, err := p.PredictBatch(test)

@@ -166,9 +166,9 @@ func Train(x, y *linalg.Matrix, opt Options) (*Model, error) {
 	}
 
 	// The query-side and performance-side views are independent until the
-	// CCA fit, so each view's kernel matrix and centering run as one task on
-	// the shared worker pool (each task's internals parallelize further when
-	// the pool has idle workers).
+	// CCA fit, so each view's kernel matrix and centering run as one task of
+	// a parallel.Do fan-out (each task's internals parallelize further when
+	// helper slots are free).
 	var kxC, kyC *linalg.Matrix
 	var rowMeansX []float64
 	var grandX float64

@@ -56,7 +56,7 @@ func scaleFromNorms(norms []float64, frac float64) float64 {
 }
 
 // Matrix computes the N×N Gaussian kernel matrix of the rows of x. Rows are
-// partitioned across the shared worker pool; element (i, j) with i < j is
+// partitioned through parallel.For; element (i, j) with i < j is
 // computed exactly once (by the worker owning row i, which mirrors it to
 // (j, i)), so the result is identical to the serial loop at every worker
 // count.

@@ -360,8 +360,8 @@ func (ix *Index) Nearest(q []float64, k int) ([]Neighbor, error) {
 
 // Search answers a batch of queries, row i of the result holding the k
 // nearest neighbors of queries.Row(i) — positionally and bit-identical to
-// Search(points, queries, k, metric). Queries fan out across the worker
-// pool like the flat batch path.
+// Search(points, queries, k, metric). Queries fan out through
+// parallel.For like the flat batch path.
 func (ix *Index) Search(queries *linalg.Matrix, k int) ([][]Neighbor, error) {
 	defer obs.Span("knn.search")()
 	if queries.Cols != ix.points.Cols {

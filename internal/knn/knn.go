@@ -161,7 +161,7 @@ func Nearest(points *linalg.Matrix, q []float64, k int, metric Distance) ([]Neig
 	if metric == Cosine {
 		qn = linalg.Norm(q)
 	}
-	// Distance computation fans out across the worker pool; each index is
+	// Distance computation fans out through parallel.For; each index is
 	// written by exactly one worker, so the slice contents match the serial
 	// loop exactly and the sort below sees identical input.
 	parallel.For(n, parallel.GrainFor(points.Cols, 1<<14), func(lo, hi int) {
@@ -192,8 +192,8 @@ func less(a, b Neighbor) bool {
 
 // Search answers a batch of queries at once: result row i holds the k
 // nearest neighbors of queries.Row(i), each sorted by ascending
-// (distance, index) exactly as Nearest returns them. Queries fan out across
-// the worker pool (each query's own distance pass stays serial to avoid
+// (distance, index) exactly as Nearest returns them. Queries fan out through
+// parallel.For (each query's own distance pass stays serial to avoid
 // oversubscribing it); results are positionally identical to calling
 // Nearest in a loop.
 func Search(points, queries *linalg.Matrix, k int, metric Distance) ([][]Neighbor, error) {

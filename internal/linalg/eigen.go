@@ -150,8 +150,8 @@ func tred2(w *Matrix, d, e []float64) {
 				e[j] -= hh * d[j]
 			}
 			// Row updates are independent (row j only reads d and e, which
-			// are fixed here, plus its own entries), so they go to the
-			// worker pool; the d refresh moves after the barrier because
+			// are fixed here, plus its own entries), so they go to
+			// parallel.For; the d refresh moves after the barrier because
 			// row j's final entries are written only by its own worker.
 			parallel.For(i, parallel.GrainFor(i/2+1, 1<<14), func(lo, hi int) {
 				for j := lo; j < hi; j++ {

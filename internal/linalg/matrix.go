@@ -124,7 +124,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	}
 	out := NewMatrix(m.Rows, b.Cols)
 	// ikj loop order for cache friendliness on row-major storage. Output
-	// rows are independent, so row blocks go to the worker pool; each
+	// rows are independent, so row blocks go to parallel.For; each
 	// element keeps the serial k-ascending summation order and the result
 	// is exact at every worker count.
 	parallel.For(m.Rows, parallel.GrainFor(m.Cols*b.Cols, 1<<15), func(lo, hi int) {

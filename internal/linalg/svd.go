@@ -70,7 +70,7 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 			s[k] = -s[k]
 		}
 		// Householder application is independent per column j > k (column k
-		// is read-only here), so column blocks go to the worker pool.
+		// is read-only here), so column blocks go to parallel.For.
 		parallel.For(n-(k+1), parallel.GrainFor(2*(m-k)+1, 1<<14), func(lo, hi int) {
 			for j := k + 1 + lo; j < k+1+hi; j++ {
 				if k < nct && s[k] != 0 {
@@ -380,7 +380,7 @@ func svdTall(arg *Matrix) (*SVDFactor, error) {
 }
 
 // rotateCols applies the Givens rotation (cs, sn) to columns (j, j+1) of a,
-// splitting rows across the worker pool; each row is independent, so the
+// splitting rows through parallel.For; each row is independent, so the
 // result is exact at every worker count.
 func rotateCols(a *Matrix, j int, cs, sn float64) {
 	parallel.For(a.Rows, parallel.GrainFor(6, 1<<14), func(lo, hi int) {

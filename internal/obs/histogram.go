@@ -22,7 +22,7 @@ const (
 
 // Histogram is a fixed-log-bucket histogram of nonnegative observations
 // (latencies in seconds, candidate counts, sizes). All updates are atomic;
-// it is safe for concurrent use from pool workers.
+// it is safe for concurrent use from parallel.For helpers.
 type Histogram struct {
 	buckets [histNumBuckets]atomic.Int64
 	count   atomic.Int64

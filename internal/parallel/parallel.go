@@ -1,21 +1,21 @@
-// Package parallel provides the shared worker pool used by the numeric hot
-// paths (kernel matrices, dense linear algebra, nearest-neighbor search,
-// batch prediction). It is deliberately small: a lazily started,
-// adaptively sized pool of goroutines (grown on demand to the effective
-// worker cap, never shrunk), a chunked parallel For loop, a typed Map, and
-// a Do for heterogeneous fan-out.
+// Package parallel runs the numeric hot paths (kernel matrices, dense
+// linear algebra, nearest-neighbor search, batch prediction) on several
+// goroutines: a chunked parallel For loop and a Do for fan-out.
+//
+// Each For call starts its own helper goroutines, one fewer than the worker
+// count (the caller works too), and waits for them before it returns; no
+// task queue and no long-lived worker exist, so no helper outlives its
+// call. A helper first takes a slot on one process-wide count of running
+// helpers, capped at MaxProcs; when no slot is free the caller runs those
+// chunks itself. Nested calls thus fall back toward serial instead of
+// deadlocking, and the cap follows SetMaxProcs and GOMAXPROCS as they change.
 //
 // Determinism contract: For partitions [0, n) into fixed contiguous chunks
-// and every index is processed by exactly one worker, so callers that write
-// only to per-index (or per-chunk) outputs — and that keep each element's
-// summation order identical to their serial loop — produce bit-for-bit the
-// same result at every worker count. The equivalence tests in the numeric
-// packages hold every parallelized kernel to that contract.
-//
-// Grain-threshold fallback: when n <= grain, or when the effective worker
-// count is 1, For invokes fn(0, n) directly on the calling goroutine — no
-// goroutines, no channel traffic — so tiny inputs (and tests pinned to one
-// worker via SetMaxProcs) take exactly the serial code path.
+// and every index is processed by exactly one goroutine, so callers that
+// write only to per-index (or per-chunk) outputs — and that keep each
+// element's summation order identical to their serial loop — produce
+// bit-for-bit the same result at every worker count. The equivalence tests
+// in the numeric packages hold every parallelized kernel to that contract.
 package parallel
 
 import (
@@ -26,25 +26,24 @@ import (
 	"repro/internal/obs"
 )
 
-// Pool metrics. Counters and gauges are single atomic updates, cheap enough
-// to keep on permanently; see the obs package for the snapshot surface.
+// Metrics: single atomic updates, cheap enough to keep on permanently.
 var (
 	forCalls      = obs.GetCounter("parallel.for.calls")
 	serialCalls   = obs.GetCounter("parallel.for.serial")
 	chunksClaimed = obs.GetCounter("parallel.pool.chunks_claimed")
-	inlineRuns    = obs.GetCounter("parallel.pool.inline_runs")
-	workersGauge  = obs.GetGauge("parallel.pool.workers")
-	queueGauge    = obs.GetGauge("parallel.pool.queue_depth")
+	// inlineRuns counts helpers a For call did not start because the
+	// process-wide cap was reached; their chunks ran on the caller instead.
+	inlineRuns = obs.GetCounter("parallel.pool.inline_runs")
 )
 
-// maxProcs, when positive, caps the number of workers a single For/Map/Do
-// call may use. Zero (the default) means "use GOMAXPROCS workers".
-var maxProcs atomic.Int64
+var (
+	maxProcs atomic.Int64 // when positive, overrides GOMAXPROCS as the worker cap
+	helpers  atomic.Int64 // helper goroutines running in all For calls
+)
 
-// SetMaxProcs overrides the per-call worker cap and returns the previous
-// override (0 if none was set). Passing 0 restores the GOMAXPROCS default;
-// passing 1 forces every subsequent For/Map/Do onto the serial path. Tests
-// use it to sweep worker counts:
+// SetMaxProcs overrides the worker cap and returns the previous override
+// (0 if none was set). Passing 0 restores the GOMAXPROCS default; passing 1
+// forces every later For/Do onto the serial path. Tests sweep with:
 //
 //	defer parallel.SetMaxProcs(parallel.SetMaxProcs(7))
 func SetMaxProcs(n int) int {
@@ -63,64 +62,20 @@ func MaxProcs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// The shared pool: workers draining a task channel. The pool grows lazily
-// and adaptively: every parallel call re-checks the effective worker cap
-// and starts any missing workers, so a first call made under a small
-// GOMAXPROCS (or a SetMaxProcs override) no longer freezes the pool at that
-// width forever. The pool never shrinks — an idle worker costs only a
-// goroutine blocked on the channel. Submission never blocks: when the queue
-// is full (including the nested case where a worker itself calls For), the
-// submitting goroutine runs the task inline, so nested parallelism degrades
-// to serial instead of deadlocking.
-const poolQueueCap = 256
-
-var (
-	poolMu      sync.Mutex
-	poolWorkers atomic.Int64
-	tasks       chan func()
-)
-
-// ensurePool grows the pool to the current effective worker cap.
-func ensurePool() {
-	want := MaxProcs()
-	if want < 1 {
-		want = 1
+// tryAcquire takes a helper slot if fewer than limit helpers are running.
+func tryAcquire(limit int) bool {
+	for h := helpers.Load(); h < int64(limit); h = helpers.Load() {
+		if helpers.CompareAndSwap(h, h+1) {
+			return true
+		}
 	}
-	if int(poolWorkers.Load()) >= want {
-		return
-	}
-	poolMu.Lock()
-	defer poolMu.Unlock()
-	if tasks == nil {
-		tasks = make(chan func(), poolQueueCap)
-	}
-	for int(poolWorkers.Load()) < want {
-		poolWorkers.Add(1)
-		go func() {
-			for task := range tasks {
-				task()
-			}
-		}()
-	}
-	workersGauge.Set(poolWorkers.Load())
-}
-
-// submit hands a task to the pool, running it inline when the queue is
-// full.
-func submit(task func()) {
-	select {
-	case tasks <- task:
-		queueGauge.Set(int64(len(tasks)))
-	default:
-		inlineRuns.Inc()
-		task()
-	}
+	return false
 }
 
 // For runs fn over the index range [0, n) in contiguous chunks of at most
 // grain indexes. fn(lo, hi) must process exactly the half-open range
 // [lo, hi). When n <= grain or only one worker is available the call
-// degrades to fn(0, n) on the calling goroutine.
+// degrades to fn(0, n) on the calling goroutine, exactly the serial path.
 //
 // fn must be safe to call concurrently for disjoint ranges; the ranges
 // handed to it are always disjoint and cover [0, n) exactly once.
@@ -132,26 +87,16 @@ func For(n, grain int, fn func(lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	w := MaxProcs()
-	if w <= 1 || n <= grain {
+	procs := MaxProcs()
+	if procs <= 1 || n <= grain {
 		serialCalls.Inc()
 		fn(0, n)
 		return
 	}
 	chunks := (n + grain - 1) / grain
-	if w > chunks {
-		w = chunks
-	}
-	ensurePool()
+	w := min(procs, chunks)
 
-	// Completion is tracked by counting finished chunks, NOT by waiting for
-	// the helper goroutines: a helper that is still sitting in the pool
-	// queue when the caller has drained every chunk must not be waited for
-	// (all workers could be blocked in nested For calls — waiting on queued
-	// helpers would deadlock). Stale helpers that run after the job is done
-	// find no chunks left and exit immediately.
-	var next, done atomic.Int64
-	finished := make(chan struct{})
+	var next atomic.Int64
 	drain := func() {
 		for {
 			c := int(next.Add(1)) - 1
@@ -160,50 +105,30 @@ func For(n, grain int, fn func(lo, hi int)) {
 			}
 			chunksClaimed.Inc()
 			lo := c * grain
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-			if int(done.Add(1)) == chunks {
-				close(finished)
-			}
+			fn(lo, min(lo+grain, n))
 		}
 	}
-	for i := 0; i < w-1; i++ {
-		submit(drain)
+	var wg sync.WaitGroup
+	for i := 1; i < w; i++ {
+		if !tryAcquire(procs) {
+			inlineRuns.Add(int64(w - i))
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer helpers.Add(-1) // runs first: the slot is free before Wait returns
+			drain()
+		}()
 	}
-	// The caller participates too, so a saturated pool still makes progress;
-	// by the time its drain returns, every chunk is at least claimed, and
-	// each claimant is a running goroutine that will finish its chunk.
+	// The caller drains too, so a call that got no helper still finishes.
 	drain()
-	<-finished
+	wg.Wait()
 }
 
-// Map computes out[i] = fn(i) for i in [0, n) on the pool and returns the
-// results in index order. The grain semantics match For.
-func Map[T any](n, grain int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(n, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = fn(i)
-		}
-	})
-	return out
-}
-
-// Do runs the functions concurrently on the pool and waits for all of them.
-// It is the fan-out primitive for a handful of heterogeneous tasks (for
-// example computing the query-side and performance-side kernel matrices of
-// a KCCA fit at the same time).
+// Do runs the functions concurrently and waits for all of them: the fan-out
+// for a few heterogeneous tasks, such as the two kernel views of a KCCA fit.
 func Do(fns ...func()) {
-	switch len(fns) {
-	case 0:
-		return
-	case 1:
-		fns[0]()
-		return
-	}
 	For(len(fns), 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fns[i]()
@@ -217,12 +142,5 @@ func Do(fns ...func()) {
 //
 //	parallel.For(rows, parallel.GrainFor(cols, 1<<15), body)
 func GrainFor(perItem, targetOps int) int {
-	if perItem < 1 {
-		perItem = 1
-	}
-	g := targetOps / perItem
-	if g < 1 {
-		g = 1
-	}
-	return g
+	return max(1, targetOps/max(1, perItem))
 }

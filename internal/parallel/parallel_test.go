@@ -58,18 +58,6 @@ func TestForSerialFallbackRunsOnCaller(t *testing.T) {
 	}
 }
 
-func TestMapOrdersResults(t *testing.T) {
-	for _, w := range workerCounts() {
-		defer SetMaxProcs(SetMaxProcs(w))
-		out := Map(500, 7, func(i int) int { return i * i })
-		for i, v := range out {
-			if v != i*i {
-				t.Fatalf("w=%d: out[%d]=%d", w, i, v)
-			}
-		}
-	}
-}
-
 func TestDoRunsAll(t *testing.T) {
 	var a, b, c atomic.Int32
 	Do()
@@ -81,8 +69,8 @@ func TestDoRunsAll(t *testing.T) {
 }
 
 func TestNestedForDoesNotDeadlock(t *testing.T) {
-	// Nested parallelism must degrade gracefully (inline execution when the
-	// pool is saturated), never deadlock.
+	// Nested parallelism must degrade gracefully (the caller runs the chunks
+	// itself when the process-wide helper cap is reached), never deadlock.
 	var total atomic.Int64
 	For(64, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -176,12 +164,26 @@ func TestPoolGrowsAfterSmallStart(t *testing.T) {
 	// the timeout path fires.
 	runtime.GOMAXPROCS(4)
 	SetMaxProcs(4)
+	if !reachesWidth(4, 3) {
+		t.Fatalf("pool never reached width 3 after widening: stale pool sizing")
+	}
+	// At cap 4 every one of four single-index chunks must be in flight at
+	// once: the caller plus three helpers.
+	if !reachesWidth(4, 4) {
+		t.Fatalf("For(4, 1) never had 4 bodies in flight at cap 4")
+	}
+}
+
+// reachesWidth runs For(n, 1, ...) with a rendezvous that releases every
+// body once width of them are inside at the same time. It reports whether
+// that happened before a 5 s timeout.
+func reachesWidth(n, width int) bool {
 	var entered atomic.Int64
 	var timedOut atomic.Bool
 	release := make(chan struct{})
 	var once sync.Once
-	For(4, 1, func(lo, hi int) {
-		if entered.Add(1) >= 3 {
+	For(n, 1, func(lo, hi int) {
+		if entered.Add(1) >= int64(width) {
 			once.Do(func() { close(release) })
 		}
 		select {
@@ -190,10 +192,45 @@ func TestPoolGrowsAfterSmallStart(t *testing.T) {
 			timedOut.Store(true)
 		}
 	})
-	if timedOut.Load() {
-		t.Fatalf("pool never reached width 3 after widening (workers=%d): stale pool sizing", poolWorkers.Load())
+	return !timedOut.Load()
+}
+
+// TestNoHelperOutlivesCall bursts nested calls from 8 goroutines, then
+// checks that no helper is left running once every call has returned and
+// that a following call gets its full width without any helper refused by
+// the process-wide cap. A helper that outlived its call would hold a slot
+// (or a queue entry) and silently serialize later calls.
+func TestNoHelperOutlivesCall(t *testing.T) {
+	defer SetMaxProcs(SetMaxProcs(4))
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var total atomic.Int64
+			for rep := 0; rep < 20; rep++ {
+				For(16, 1, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						For(64, 8, func(lo2, hi2 int) {
+							total.Add(int64(hi2 - lo2))
+						})
+					}
+				})
+			}
+			if total.Load() != 20*16*64 {
+				t.Errorf("nested burst covered %d indexes, want %d", total.Load(), 20*16*64)
+			}
+		}()
 	}
-	if got := int(poolWorkers.Load()); got < 4 {
-		t.Fatalf("pool has %d workers after widening to 4, want >= 4", got)
+	wg.Wait()
+	if h := helpers.Load(); h != 0 {
+		t.Fatalf("%d helpers still running after every call returned", h)
+	}
+	before := inlineRuns.Value()
+	if !reachesWidth(4, 4) {
+		t.Fatalf("For(4, 1) never had 4 bodies in flight at cap 4 after the burst")
+	}
+	if got := inlineRuns.Value(); got != before {
+		t.Fatalf("parallel.pool.inline_runs grew by %d on an idle process", got-before)
 	}
 }
